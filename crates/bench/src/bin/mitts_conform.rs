@@ -170,10 +170,10 @@ fn main() -> ExitCode {
 
     stop_if_interrupted("workload-suite");
 
-    // 4. Engine differential: the same suite cases under all three
-    //    execution engines, byte-diffed against the naive reference
+    // 4. Engine differential: the same suite cases under both execution
+    //    engines, byte-diffed against the naive reference
     //    (stats digest, audit log, shaper grant ledgers).
-    println!("\n== engine differential (naive vs fast vs event, {label}) ==");
+    println!("\n== engine differential (naive vs skip, {label}) ==");
     let suite = mitts_workloads::Benchmark::ALL;
     let suite = if args.smoke { &suite[..4] } else { &suite[..] };
     for (name, result) in engine_differential_checks(cycles, suite) {
@@ -189,7 +189,7 @@ fn main() -> ExitCode {
     stop_if_interrupted("engine-differential");
 
     // 5. Capacity/metrics differential: one fixed open-loop capacity
-    //    probe across all engines × metrics-registry-on/off. Simulation
+    //    probe across both engines × metrics-registry-on/off. Simulation
     //    results must be identical everywhere (the registry is a pure
     //    observer) and snapshot bytes engine-invariant within each
     //    metrics mode.

@@ -224,9 +224,9 @@ pub fn shared_config(cores: usize, llc_bytes: usize) -> SystemConfig {
 }
 
 /// Execution engine for experiment runs, selected by `MITTS_ENGINE`
-/// (`naive` / `fast` / `event`; unset = the builder default, the event
-/// kernel). All engines are bit-identical in results — `scripts/check.sh`
-/// leans on this to byte-diff whole sweep artifact trees across engines.
+/// (`naive` / `skip`; unset = the builder default, the skip engine).
+/// Both engines are bit-identical in results — `scripts/check.sh` leans
+/// on this to byte-diff whole sweep artifact trees across engines.
 ///
 /// # Panics
 ///
@@ -236,11 +236,10 @@ pub fn engine_from_env() -> Engine {
     match std::env::var("MITTS_ENGINE") {
         Ok(v) => match v.as_str() {
             "naive" => Engine::Naive,
-            "fast" => Engine::Fast,
-            "event" => Engine::Event,
-            other => panic!("MITTS_ENGINE must be naive, fast, or event (got {other:?})"),
+            "skip" => Engine::Skip,
+            other => panic!("MITTS_ENGINE must be naive or skip (got {other:?})"),
         },
-        Err(_) => Engine::Event,
+        Err(_) => Engine::Skip,
     }
 }
 

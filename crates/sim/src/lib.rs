@@ -39,7 +39,6 @@ pub mod cache;
 pub mod config;
 pub mod core;
 pub mod dram;
-pub mod events;
 pub mod fsio;
 pub mod histogram;
 pub mod mc;
@@ -65,8 +64,7 @@ pub use oracle::{
     DramOracle, OracleKind, OracleViolation, PickOracle, PickPolicy, ShaperOracle, ShaperSpec,
     SpecFeedback, SpecPolicy,
 };
-pub use events::{EventQueue, EventSource};
 pub use snapshot::{Snapshot, SnapshotError};
 pub use stats::{geomean, SlowdownReport};
-pub use system::{Engine, System, SystemBuilder};
+pub use system::{Blocker, Engine, System, SystemBuilder};
 pub use types::{Addr, CoreId, Cycle, MemCmd, OpId};
